@@ -1,53 +1,10 @@
-//! Microbenchmarks of the CP solver substrate: propagation fixpoints and
-//! full searches on classic models.
+//! Microbenchmark of the CP solver substrate: a small linear branch &
+//! bound. The placer's real models are timed by the `placer` and `geost`
+//! benches.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rrf_solver::constraints::{LinRel, NotEqualOffset};
+use criterion::{criterion_group, criterion_main, Criterion};
+use rrf_solver::constraints::LinRel;
 use rrf_solver::{solve, Model, SearchConfig};
-
-fn queens_model(n: i32) -> Model {
-    let mut m = Model::new();
-    let cols: Vec<_> = (0..n).map(|_| m.new_var(0, n - 1)).collect();
-    m.all_different(cols.clone());
-    for i in 0..n as usize {
-        for j in (i + 1)..n as usize {
-            let d = (j - i) as i32;
-            m.post(NotEqualOffset {
-                x: cols[i],
-                y: cols[j],
-                c: d,
-            });
-            m.post(NotEqualOffset {
-                x: cols[i],
-                y: cols[j],
-                c: -d,
-            });
-        }
-    }
-    m
-}
-
-fn bench_queens(c: &mut Criterion) {
-    let mut group = c.benchmark_group("solver/queens_first_solution");
-    for n in [6, 8, 10] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let out = solve(queens_model(n), SearchConfig::first_solution());
-                assert!(out.best.is_some());
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_queens_exhaust(c: &mut Criterion) {
-    c.bench_function("solver/queens6_count_all", |b| {
-        b.iter(|| {
-            let out = solve(queens_model(6), SearchConfig::default());
-            assert_eq!(out.stats.solutions, 4);
-        })
-    });
-}
 
 fn bench_linear_minimize(c: &mut Criterion) {
     c.bench_function("solver/knapsack_minimize", |b| {
@@ -68,10 +25,5 @@ fn bench_linear_minimize(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_queens,
-    bench_queens_exhaust,
-    bench_linear_minimize
-);
+criterion_group!(benches, bench_linear_minimize);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
-//! Overload end-to-end tests: the request-line byte cap and the
-//! backpressure → `rrf-client` retry loop, both against an in-process
-//! daemon over real TCP.
+//! Overload end-to-end tests: the request-line byte cap, the JSON nesting
+//! limit, and the backpressure → `rrf-client` retry loop, all against an
+//! in-process daemon over real TCP.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -99,6 +99,48 @@ fn oversized_line_gets_structured_error_and_connection_survives() {
     }
     let stats = fetch_stats(&mut reader, &mut writer);
     assert_eq!(stats.oversized_lines, 1);
+    handle.shutdown();
+}
+
+/// A line of 500,000 `[` fits under the default cap but nests far past
+/// the JSON parser's recursion limit: it must draw a structured error,
+/// not overflow the connection thread's stack, and the daemon must keep
+/// answering on the same connection.
+#[test]
+fn deeply_nested_line_gets_structured_error_and_daemon_survives() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("start daemon");
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    let mut line = vec![b'['; 500_000];
+    line.push(b'\n');
+    match roundtrip(&mut reader, &mut writer, &line) {
+        Response::Error { id, message } => {
+            assert_eq!(id, 0, "no id is recoverable from a bare nest");
+            assert!(
+                message.contains("recursion limit exceeded"),
+                "message must name the nesting limit: {message}"
+            );
+        }
+        other => panic!("expected structured error, got {other:?}"),
+    }
+
+    match roundtrip(
+        &mut reader,
+        &mut writer,
+        &request_line(&Request::Ping { id: 8 }),
+    ) {
+        Response::Pong { id } => assert_eq!(id, 8),
+        other => panic!("expected pong after deeply nested line, got {other:?}"),
+    }
     handle.shutdown();
 }
 

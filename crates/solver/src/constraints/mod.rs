@@ -1,23 +1,16 @@
-//! The constraint library: ready-made propagators.
+//! The constraint library: exactly the propagators the placement and
+//! scheduling models post.
 
-pub mod alldiff;
-pub mod arith;
-pub mod count;
 pub mod cumulative;
 pub mod element;
 pub mod lex;
 pub mod linear;
-pub mod logic;
 pub mod minmax;
 pub mod table;
 
-pub use alldiff::AllDifferent;
-pub use arith::{EqOffset, LeqOffset, NotEqualOffset, ScaledEq};
-pub use count::CountEq;
 pub use cumulative::{Cumulative, Task};
 pub use element::ElementConst;
 pub use lex::LexLeqPair;
 pub use linear::{LinRel, Linear};
-pub use logic::{Clause, Literal, ReifiedLeConst};
-pub use minmax::{Maximum, Minimum};
+pub use minmax::Maximum;
 pub use table::Table;

@@ -93,17 +93,6 @@ impl Domain {
         Some(Domain { ranges })
     }
 
-    /// A domain from pre-validated ranges (must be sorted, disjoint,
-    /// non-adjacent, and non-empty). Checked with debug assertions only.
-    pub fn from_ranges(ranges: Vec<Range>) -> Option<Domain> {
-        if ranges.is_empty() {
-            return None;
-        }
-        debug_assert!(ranges.iter().all(|&(lo, hi)| lo <= hi));
-        debug_assert!(ranges.windows(2).all(|w| w[0].1 + 1 < w[1].0));
-        Some(Domain { ranges })
-    }
-
     /// Smallest value. Panics on empty domain (never observable through the
     /// engine, which fails a space before exposing an empty domain).
     #[inline]
@@ -163,26 +152,6 @@ impl Domain {
     /// Iterate all values in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = i32> + '_ {
         self.ranges.iter().flat_map(|&(lo, hi)| lo..=hi)
-    }
-
-    /// Smallest domain value `>= v`, if any.
-    pub fn next_at_least(&self, v: i32) -> Option<i32> {
-        for &(lo, hi) in &self.ranges {
-            if hi >= v {
-                return Some(lo.max(v));
-            }
-        }
-        None
-    }
-
-    /// Largest domain value `<= v`, if any.
-    pub fn prev_at_most(&self, v: i32) -> Option<i32> {
-        for &(lo, hi) in self.ranges.iter().rev() {
-            if lo <= v {
-                return Some(hi.min(v));
-            }
-        }
-        None
     }
 
     /// A value splitting the domain roughly in half for domain bisection
@@ -327,31 +296,6 @@ impl Domain {
         }
         self.ranges = out;
         Ok(self.event_after(old_min, old_max, old_size))
-    }
-
-    /// The domain translated by `c` (saturating at the `i32` ends; callers
-    /// keep model values far from the representation limits).
-    pub fn shifted(&self, c: i32) -> Domain {
-        Domain {
-            ranges: self
-                .ranges
-                .iter()
-                .map(|&(lo, hi)| (lo.saturating_add(c), hi.saturating_add(c)))
-                .collect(),
-        }
-    }
-
-    /// The mirrored domain `{-v | v ∈ self}` — used to propagate through
-    /// negated terms.
-    pub fn negated(&self) -> Domain {
-        Domain {
-            ranges: self
-                .ranges
-                .iter()
-                .rev()
-                .map(|&(lo, hi)| (-hi, -lo))
-                .collect(),
-        }
     }
 
     /// Remove every value of `other` from `self`.
@@ -574,19 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn next_prev_queries() {
-        let d = dom(&[1, 2, 5, 6, 9]);
-        assert_eq!(d.next_at_least(0), Some(1));
-        assert_eq!(d.next_at_least(3), Some(5));
-        assert_eq!(d.next_at_least(9), Some(9));
-        assert_eq!(d.next_at_least(10), None);
-        assert_eq!(d.prev_at_most(10), Some(9));
-        assert_eq!(d.prev_at_most(4), Some(2));
-        assert_eq!(d.prev_at_most(1), Some(1));
-        assert_eq!(d.prev_at_most(0), None);
-    }
-
-    #[test]
     fn median_halves() {
         assert_eq!(Domain::interval(0, 9).median(), 4);
         assert_eq!(Domain::singleton(3).median(), 3);
@@ -611,21 +542,6 @@ mod tests {
         );
         assert!(!DomainEvent::None.changed());
         assert!(DomainEvent::Domain.changed());
-    }
-
-    #[test]
-    fn shifted_translates() {
-        let d = dom(&[1, 2, 5]);
-        assert_eq!(d.shifted(3).iter().collect::<Vec<_>>(), vec![4, 5, 8]);
-        assert_eq!(d.shifted(-1).iter().collect::<Vec<_>>(), vec![0, 1, 4]);
-        assert_eq!(d.shifted(0), d);
-    }
-
-    #[test]
-    fn negated_mirrors() {
-        let d = dom(&[1, 2, 5]);
-        assert_eq!(d.negated().iter().collect::<Vec<_>>(), vec![-5, -2, -1]);
-        assert_eq!(d.negated().negated(), d);
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! The model-building facade: variables plus convenience constraint posting.
 
-use crate::constraints::{
-    AllDifferent, Clause, Cumulative, ElementConst, EqOffset, LeqOffset, LinRel, Linear, Literal,
-    Maximum, Minimum, NotEqualOffset, ReifiedLeConst, ScaledEq, Table, Task,
-};
+use crate::constraints::{Cumulative, ElementConst, LinRel, Linear, Maximum, Table, Task};
 use crate::domain::Domain;
 use crate::propagator::{Engine, Propagator};
 use crate::space::{Space, VarId};
@@ -34,16 +31,6 @@ impl Model {
             .new_var(Domain::from_values(values).expect("variable created with empty domain"))
     }
 
-    /// New variable with a prepared domain.
-    pub fn new_var_domain(&mut self, domain: Domain) -> VarId {
-        self.space.new_var(domain)
-    }
-
-    /// New 0/1 variable.
-    pub fn new_bool(&mut self) -> VarId {
-        self.new_var(0, 1)
-    }
-
     /// Number of variables so far.
     pub fn num_vars(&self) -> usize {
         self.space.num_vars()
@@ -66,50 +53,9 @@ impl Model {
 
     // --- convenience constraint builders -------------------------------
 
-    /// `x + c == y`.
-    pub fn eq_offset(&mut self, x: VarId, c: i32, y: VarId) {
-        self.post(EqOffset { x, y, c });
-    }
-
-    /// `x == y`.
-    pub fn eq(&mut self, x: VarId, y: VarId) {
-        self.eq_offset(x, 0, y);
-    }
-
-    /// `x + c <= y`.
-    pub fn leq_offset(&mut self, x: VarId, c: i32, y: VarId) {
-        self.post(LeqOffset { x, y, c });
-    }
-
-    /// `x <= y`.
-    pub fn le(&mut self, x: VarId, y: VarId) {
-        self.leq_offset(x, 0, y);
-    }
-
-    /// `x < y`.
-    pub fn lt(&mut self, x: VarId, y: VarId) {
-        self.leq_offset(x, 1, y);
-    }
-
-    /// `x != y`.
-    pub fn ne(&mut self, x: VarId, y: VarId) {
-        self.post(NotEqualOffset { x, y, c: 0 });
-    }
-
-    /// `a * x == y` for constant `a != 0`.
-    pub fn scaled_eq(&mut self, a: i32, x: VarId, y: VarId) {
-        self.post(ScaledEq { a, x, y });
-    }
-
     /// `Σ coeffs[i] * vars[i] ⋈ c`.
     pub fn linear(&mut self, coeffs: &[i64], vars: &[VarId], rel: LinRel, c: i64) {
         self.post(Linear::new(coeffs, vars, rel, c));
-    }
-
-    /// `Σ vars[i] <= c`.
-    pub fn sum_le(&mut self, vars: &[VarId], c: i64) {
-        let coeffs = vec![1i64; vars.len()];
-        self.linear(&coeffs, vars, LinRel::Le, c);
     }
 
     /// `array[idx] == value`.
@@ -122,34 +68,14 @@ impl Model {
         self.post(Table::new(vars, rows));
     }
 
-    /// All variables take pairwise distinct values.
-    pub fn all_different(&mut self, vars: Vec<VarId>) {
-        self.post(AllDifferent::new(vars));
-    }
-
     /// `y == max(vars)`.
     pub fn maximum(&mut self, vars: Vec<VarId>, y: VarId) {
         self.post(Maximum { vars, y });
     }
 
-    /// `y == min(vars)`.
-    pub fn minimum(&mut self, vars: Vec<VarId>, y: VarId) {
-        self.post(Minimum { vars, y });
-    }
-
     /// Cumulative resource constraint.
     pub fn cumulative(&mut self, tasks: Vec<Task>, capacity: i32) {
         self.post(Cumulative::new(tasks, capacity));
-    }
-
-    /// Disjunction of literals.
-    pub fn clause(&mut self, literals: Vec<Literal>) {
-        self.post(Clause { literals });
-    }
-
-    /// `b == 1 ⟺ x <= c`.
-    pub fn reified_le_const(&mut self, b: VarId, x: VarId, c: i32) {
-        self.post(ReifiedLeConst { b, x, c });
     }
 
     /// Decompose into the root space and engine for the search to drive.
@@ -185,13 +111,13 @@ mod tests {
         let mut m = Model::new();
         let x = m.new_var(0, 9);
         let y = m.new_var_values(&[1, 4, 7]);
-        let b = m.new_bool();
-        m.le(x, y);
-        m.reified_le_const(b, x, 3);
+        let z = m.new_var(0, 20);
+        m.linear(&[1, -1], &[x, y], LinRel::Le, 0);
+        m.maximum(vec![x, y], z);
         assert_eq!(m.num_vars(), 3);
         assert_eq!(m.num_propagators(), 2);
         assert_eq!(m.space().min(y), 1);
-        assert_eq!(m.space().max(b), 1);
+        assert_eq!(m.space().max(z), 20);
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl Space {
         self.domain(v).contains(val)
     }
 
-    /// Whether every variable is fixed.
-    pub fn all_fixed(&self) -> bool {
-        self.domains.iter().all(Domain::is_fixed)
-    }
-
     fn record(&mut self, v: VarId, event: DomainEvent) {
         if event.changed() {
             if self.pending_event[v.index()] == DomainEvent::None {
@@ -267,10 +262,10 @@ mod tests {
     #[test]
     fn all_fixed_and_assignment() {
         let (mut s, a, b) = two_var_space();
-        assert!(!s.all_fixed());
+        assert!(!s.is_fixed(a) && !s.is_fixed(b));
         s.assign(a, 1).unwrap();
         s.assign(b, -2).unwrap();
-        assert!(s.all_fixed());
+        assert!(s.is_fixed(a) && s.is_fixed(b));
         assert_eq!(s.assignment(), vec![1, -2]);
     }
 

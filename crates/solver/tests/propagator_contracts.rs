@@ -2,11 +2,13 @@
 //! *sound* (never removes a value that participates in a solution of its
 //! constraint), *contracting* (only narrows domains), and *idempotent at
 //! the engine's fixpoint* (re-running propagation changes nothing).
+//! `Table` is also *exact*: it prunes to precisely the brute-force
+//! supports, so a faster table propagator must prune identically.
 
+use proptest::array::uniform3;
 use proptest::prelude::*;
 use rrf_solver::constraints::{
-    AllDifferent, CountEq, Cumulative, ElementConst, EqOffset, LeqOffset, LinRel, Linear, Maximum,
-    NotEqualOffset, Task,
+    Cumulative, ElementConst, LexLeqPair, LinRel, Linear, Maximum, Table, Task,
 };
 use rrf_solver::{Conflict, Domain, Engine, Propagator, Space, VarId};
 
@@ -116,46 +118,39 @@ fn assert_contracts(
     Ok(())
 }
 
+/// For a propagator that enforces generalized arc consistency: after one
+/// fixpoint every surviving value has a support and nothing else survives,
+/// and it fails exactly when the constraint has no solution.
+fn assert_exact(
+    domains: &[Vec<i32>],
+    prop: impl Propagator + 'static,
+    check: &dyn Fn(&[i32]) -> bool,
+) -> Result<(), TestCaseError> {
+    let (mut space, vars) = space_with(domains);
+    let mut engine = Engine::new(space.num_vars());
+    engine.post(prop);
+    engine.schedule_all();
+    let result = engine.propagate(&mut space);
+    match bruteforce_supports(domains, check) {
+        None => prop_assert!(result.is_err(), "unsatisfiable instance not failed"),
+        Some(supports) => {
+            prop_assert!(result.is_ok(), "propagator failed a satisfiable instance");
+            for (i, &v) in vars.iter().enumerate() {
+                let got: Vec<i32> = space.domain(v).iter().collect();
+                prop_assert_eq!(&got, &supports[i], "var {} not pruned to its supports", i);
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn eq_offset_contract(a in domain_strategy(), b in domain_strategy(), c in -3i32..4) {
-        let domains = vec![a, b];
-        let (_, vars) = space_with(&domains);
-        assert_contracts(
-            &domains,
-            EqOffset { x: vars[0], y: vars[1], c },
-            &|asg| asg[0] + c == asg[1],
-        )?;
-    }
-
-    #[test]
-    fn leq_offset_contract(a in domain_strategy(), b in domain_strategy(), c in -3i32..4) {
-        let domains = vec![a, b];
-        let (_, vars) = space_with(&domains);
-        assert_contracts(
-            &domains,
-            LeqOffset { x: vars[0], y: vars[1], c },
-            &|asg| asg[0] + c <= asg[1],
-        )?;
-    }
-
-    #[test]
-    fn not_equal_contract(a in domain_strategy(), b in domain_strategy(), c in -3i32..4) {
-        let domains = vec![a, b];
-        let (_, vars) = space_with(&domains);
-        assert_contracts(
-            &domains,
-            NotEqualOffset { x: vars[0], y: vars[1], c },
-            &|asg| asg[0] != asg[1] + c,
-        )?;
-    }
-
-    #[test]
     fn linear_contract(a in domain_strategy(), b in domain_strategy(),
                        c in domain_strategy(),
-                       coeffs in proptest::array::uniform3(-3i64..4),
+                       coeffs in uniform3(-3i64..4),
                        rhs in -8i64..12) {
         let domains = vec![a, b, c];
         let (_, vars) = space_with(&domains);
@@ -184,18 +179,6 @@ proptest! {
     }
 
     #[test]
-    fn alldifferent_contract(a in domain_strategy(), b in domain_strategy(),
-                             c in domain_strategy()) {
-        let domains = vec![a, b, c];
-        let (_, vars) = space_with(&domains);
-        assert_contracts(
-            &domains,
-            AllDifferent::new(vars),
-            &|asg| asg[0] != asg[1] && asg[0] != asg[2] && asg[1] != asg[2],
-        )?;
-    }
-
-    #[test]
     fn maximum_contract(a in domain_strategy(), b in domain_strategy(),
                         y in domain_strategy()) {
         let domains = vec![a, b, y];
@@ -204,21 +187,6 @@ proptest! {
             &domains,
             Maximum { vars: vec![vars[0], vars[1]], y: vars[2] },
             &|asg| asg[0].max(asg[1]) == asg[2],
-        )?;
-    }
-
-    #[test]
-    fn count_contract(a in domain_strategy(), b in domain_strategy(),
-                      c in domain_strategy(), value in -2i32..4) {
-        let domains = vec![a, b, c];
-        let (_, vars) = space_with(&domains);
-        assert_contracts(
-            &domains,
-            CountEq { vars: vec![vars[0], vars[1]], value, c: vars[2] },
-            &|asg| {
-                let n = i32::from(asg[0] == value) + i32::from(asg[1] == value);
-                n == asg[2]
-            },
         )?;
     }
 
@@ -239,6 +207,36 @@ proptest! {
                 // capacity 1 the two intervals must not overlap.
                 cap >= 2 || asg[0] + d1 <= asg[1] || asg[1] + d2 <= asg[0]
             },
+        )?;
+    }
+
+    #[test]
+    fn table_contract(a in domain_strategy(), b in domain_strategy(),
+                      c in domain_strategy(),
+                      picks in proptest::collection::vec(uniform3(0usize..5), 0..4),
+                      noise in proptest::collection::vec(uniform3(-4i32..6), 0..12)) {
+        let domains = vec![a, b, c];
+        let (_, vars) = space_with(&domains);
+        // Rows picked from the domains start live; noise rows mostly do not.
+        let rows: Vec<Vec<i32>> = picks
+            .iter()
+            .map(|p| (0..3).map(|j| domains[j][p[j] % domains[j].len()]).collect())
+            .chain(noise.iter().map(|r| r.to_vec()))
+            .collect();
+        let check = |asg: &[i32]| rows.iter().any(|row| row.as_slice() == asg);
+        assert_contracts(&domains, Table::new(vars.clone(), rows.clone()), &check)?;
+        assert_exact(&domains, Table::new(vars, rows.clone()), &check)?;
+    }
+
+    #[test]
+    fn lex_leq_pair_contract(x1 in domain_strategy(), y1 in domain_strategy(),
+                             x2 in domain_strategy(), y2 in domain_strategy()) {
+        let domains = vec![x1, y1, x2, y2];
+        let (_, vars) = space_with(&domains);
+        assert_contracts(
+            &domains,
+            LexLeqPair { x1: vars[0], y1: vars[1], x2: vars[2], y2: vars[3] },
+            &|asg| (asg[0], asg[1]) <= (asg[2], asg[3]),
         )?;
     }
 }

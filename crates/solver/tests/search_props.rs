@@ -3,7 +3,7 @@
 //! the portfolio agrees with sequential search.
 
 use proptest::prelude::*;
-use rrf_solver::constraints::{LinRel, NotEqualOffset};
+use rrf_solver::constraints::LinRel;
 use rrf_solver::{solve, solve_portfolio, Model, SearchConfig, ValSelect, VarId, VarSelect};
 
 /// A reproducible random model: bounded vars, a few disequalities, one
@@ -41,12 +41,14 @@ impl Instance {
             .iter()
             .map(|&(lo, hi)| m.new_var(lo, hi))
             .collect();
+        // Each disequality is a binary table of the unequal pairs.
         for &(a, b) in &self.diseqs {
-            m.post(NotEqualOffset {
-                x: vars[a],
-                y: vars[b],
-                c: 0,
-            });
+            let (ra, rb) = (self.ranges[a], self.ranges[b]);
+            let rows = (ra.0..=ra.1)
+                .flat_map(|u| (rb.0..=rb.1).map(move |v| vec![u, v]))
+                .filter(|r| r[0] != r[1])
+                .collect();
+            m.table(vec![vars[a], vars[b]], rows);
         }
         let coeffs = vec![1i64; vars.len()];
         m.linear(&coeffs, &vars, LinRel::Le, self.cap);

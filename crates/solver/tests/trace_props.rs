@@ -6,26 +6,24 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use rrf_solver::constraints::NotEqualOffset;
 use rrf_solver::{
     solve, solve_portfolio, Limits, Model, Objective, SearchConfig, ValSelect, VarId, VarSelect,
 };
 use rrf_trace::{check_balanced, parse_text, MemorySink, Tracer};
 
+/// n-queens as one binary table per column pair: the allowed
+/// `(row_i, row_j)` pairs share no row and no diagonal.
 fn queens(n: i32) -> (Model, Vec<VarId>) {
     let mut m = Model::new();
     let cols: Vec<VarId> = (0..n).map(|_| m.new_var(0, n - 1)).collect();
-    m.all_different(cols.clone());
-    for i in 0..n as usize {
-        for j in (i + 1)..n as usize {
+    for i in 0..cols.len() {
+        for j in (i + 1)..cols.len() {
             let d = (j - i) as i32;
-            for c in [d, -d] {
-                m.post(NotEqualOffset {
-                    x: cols[i],
-                    y: cols[j],
-                    c,
-                });
-            }
+            let rows = (0..n)
+                .flat_map(|a| (0..n).map(move |b| vec![a, b]))
+                .filter(|r| r[0] != r[1] && (r[0] - r[1]).abs() != d)
+                .collect();
+            m.table(vec![cols[i], cols[j]], rows);
         }
     }
     (m, cols)

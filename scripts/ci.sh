@@ -122,6 +122,11 @@ stage_test() {
     echo "--> cargo test -q --workspace"
     cargo test -q --workspace
 
+    echo "--> benchmark package tests (perfbench is its own workspace)"
+    # `--workspace` never builds perfbench, so removing public API it
+    # uses from a workspace crate would otherwise go unnoticed.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
     echo "--> analyzer regression gate (diagnostic drift over bench workloads)"
     # rrf-analyze output is byte-deterministic, so any drift against the
     # committed expected files is a behavior change that must be

@@ -3,11 +3,11 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rrf_solver::constraints::{LinRel, NotEqualOffset};
+use rrf_solver::constraints::LinRel;
 use rrf_solver::{solve, Model, SearchConfig, VarId};
 
-/// A random model: n vars with small ranges, random binary disequalities,
-/// and one random linear <= constraint. Returns the model pieces needed to
+/// A random model: n vars with small ranges, random binary disequalities
+/// (posted as tables), and one random linear <= constraint. Returns the model pieces needed to
 /// re-evaluate assignments by hand.
 struct RandomCsp {
     ranges: Vec<(i32, i32)>,
@@ -52,12 +52,14 @@ impl RandomCsp {
             .iter()
             .map(|&(lo, hi)| m.new_var(lo, hi))
             .collect();
+        // `x_a != x_b + c` as a binary table of the allowed pairs.
         for &(a, b, c) in &self.diseqs {
-            m.post(NotEqualOffset {
-                x: vars[a],
-                y: vars[b],
-                c,
-            });
+            let (ra, rb) = (self.ranges[a], self.ranges[b]);
+            let rows = (ra.0..=ra.1)
+                .flat_map(|u| (rb.0..=rb.1).map(move |v| vec![u, v]))
+                .filter(|r| r[0] != r[1] + c)
+                .collect();
+            m.table(vec![vars[a], vars[b]], rows);
         }
         m.linear(&self.lin_coeffs, &vars, LinRel::Le, self.lin_c);
         (m, vars)
