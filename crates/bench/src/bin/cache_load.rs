@@ -5,12 +5,12 @@
 //! Two arms against in-process daemons with identical capacity
 //! (4 workers, deep queue), each offered the same **open-loop** load:
 //!
-//! * **coalesced** — this PR's configuration: sharded cache
+//! * **coalesced** — the real configuration: sharded cache
 //!   (`cache_shards: 8`) with single-flight coalescing on.
 //! * **baseline** — `cache_shards: 1`, coalescing off: the old global
 //!   `Mutex<PlacementCache>` behavior. The cache itself still works —
 //!   this arm is *not* cacheless — so the ablation isolates exactly what
-//!   the tentpole added.
+//!   sharding and coalescing add.
 //!
 //! The workload is the shape that actually separates them. A plain LRU
 //! cache already rescues any duplicate that arrives *after* the first
@@ -40,45 +40,35 @@
 //! the fixed service cost the capacity math relies on).
 //!
 //! **Goodput** is a response that is feasible *and arrived within the
-//! client's SLO of the send time* — same judge as `overload_load`. The
-//! binary writes both arms to `BENCH_cache.json` (shared `BenchRecord`
-//! schema); the `bench_gate` binary enforces the floor (coalesced
-//! goodput at least 2x the baseline's).
+//! client's SLO of the send time*, judged by the shared open-loop
+//! harness `rrf_bench::load`. The binary writes both arms to
+//! `BENCH_cache.json` (shared `BenchRecord` schema); the `bench_gate`
+//! binary enforces the floor (coalesced goodput at least 2x the
+//! baseline's).
 //!
 //! Usage: `cache_load [waves] [seed] [--slo-ms MS] [--out PATH]`
 //! (defaults 48, 0, 600).
 
 #![forbid(unsafe_code)]
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use rrf_bench::load::{run_open_loop, Cli, ClientPlan, Conn, Outcome, SERVICE_MS};
 use rrf_bench::record::{write_records, BenchRecord};
-use rrf_bench::workload::{percentile_ms, small_region_spec};
-use rrf_flow::{FlowSpec, ModuleEntry, PlacerSettings};
-use rrf_modgen::{generate_workload, WorkloadSpec};
 use rrf_server::{start, Request, Response, ServerConfig};
-
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 
 const WORKERS: usize = 4;
 /// Deep queue: the baseline should fail by *lateness* (unbounded
 /// queueing delay), not by shedding the burst at the door — admission
 /// control is identical in both arms and is not the variable here.
 const QUEUE_DEPTH: usize = 64;
-/// Per-request CP budget (the spec's own time limit): the pinned service
-/// cost, which is also the wave period — each wave's duplicates arrive
-/// while their leader is still solving.
-const SERVICE_MS: u64 = 150;
-/// Modules per generated spec (see `overload_load`): big enough that CP
-/// genuinely uses its budget, small enough that greedy stays feasible.
-const SPEC_MODULES: usize = 8;
 
-/// Connections firing the identical spec each wave. Phases cluster late
-/// in the wave: a duplicate arriving at phase p costs the baseline a
-/// full redundant solve (occupying a worker until p + SERVICE_MS, past
-/// the wave boundary) but costs the coalescing arm only the remainder
-/// of the leader's window (SERVICE_MS - p).
+/// Connections firing the identical spec each wave; the wave period is
+/// `SERVICE_MS`, so each wave's duplicates arrive while their leader is
+/// still solving. Phases cluster late in the wave: a duplicate arriving
+/// at phase p costs the baseline a full redundant solve (occupying a
+/// worker until p + SERVICE_MS, past the wave boundary) but costs the
+/// coalescing arm only the remainder of the leader's window
+/// (SERVICE_MS - p).
 const HOT_CLIENTS: usize = 6;
 const HOT_PHASES_MS: [u64; HOT_CLIENTS] = [0, 95, 105, 115, 125, 135];
 /// Hot deadlines descend with phase: each follower's remaining budget is
@@ -93,186 +83,30 @@ const UNIQ_CLIENTS: usize = 2;
 const UNIQ_GAP_MS: u64 = 225;
 const UNIQ_DEADLINE_MS: u64 = 6_000;
 
-/// Spec for one key: hot waves share `seed` across clients (that is the
-/// duplication), uniques never repeat one.
-fn place_spec(seed: u64) -> FlowSpec {
-    let workload = generate_workload(&WorkloadSpec::small(SPEC_MODULES, seed));
-    FlowSpec {
-        region: small_region_spec(),
-        modules: workload
-            .modules
-            .into_iter()
-            .map(|m| ModuleEntry {
-                name: m.name,
-                shapes: m.shapes,
-                netlist: None,
-            })
-            .collect(),
-        placer: PlacerSettings {
-            time_limit_ms: Some(SERVICE_MS),
-            ..PlacerSettings::default()
-        },
-    }
-}
-
-/// One open-loop client's send schedule and key material.
-struct ClientPlan {
-    client_idx: u64,
-    phase_ms: u64,
-    gap_ms: u64,
-    requests: u64,
-    deadline_ms: u64,
-    /// Spec seed for request `j`; hot clients share this function.
-    seed_of: fn(seed: u64, client_idx: u64, j: u64) -> u64,
-    run_seed: u64,
-}
-
-fn hot_seed(seed: u64, _client_idx: u64, j: u64) -> u64 {
-    (1 << 32) | (seed << 20) | j
-}
-
-fn uniq_seed(seed: u64, client_idx: u64, j: u64) -> u64 {
-    (2 << 32) | (seed << 20) | (client_idx << 12) | j
-}
-
-#[derive(Default)]
-struct ArmOutcome {
-    offered: u64,
-    goodput: u64,
-    shed: u64,
-    late: u64,
-    infeasible: u64,
-    errors: u64,
-    latencies_us: Vec<u64>,
-    /// From the daemon's own counters, read before shutdown.
-    solves: u64,
-    coalesced_joins: u64,
-    coalesced_leader_solves: u64,
-    cache_hits: u64,
-}
-
-/// One open-loop client: a sender thread fires on the fixed schedule
-/// (never waiting for replies), a reader thread stamps arrivals.
-fn run_client(addr: &str, plan: &ClientPlan, slo_ms: u64) -> ArmOutcome {
-    let mut out = ArmOutcome {
-        offered: plan.requests,
-        ..ArmOutcome::default()
-    };
-    let stream = match TcpStream::connect(addr) {
-        Ok(stream) => stream,
-        Err(_) => {
-            out.errors = plan.requests;
-            return out;
+/// The daemon's own counters in record order, read over a fresh
+/// connection before shutdown.
+fn read_counters(addr: &str) -> Vec<(&'static str, u64)> {
+    let (mut solves, mut cache_hits, mut joins, mut leader_solves) = (0, 0, 0, 0);
+    if let Ok(mut conn) = Conn::connect(addr, Duration::from_secs(10)) {
+        if let Ok(Response::Stats { stats, .. }) = conn.roundtrip(&Request::Stats { id: 1 }) {
+            solves = stats.solves();
+            cache_hits = stats.cache_hits;
         }
-    };
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let reader_stream = stream.try_clone().unwrap();
-    let requests = plan.requests;
-    let (done_tx, done_rx) = mpsc::channel::<(u64, Instant, Response)>();
-    let reader = std::thread::spawn(move || {
-        let mut reader = BufReader::new(reader_stream);
-        let mut line = String::new();
-        for _ in 0..requests {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
-            let Ok(response) = serde_json::from_str::<Response>(line.trim()) else {
-                return;
-            };
-            let id = response.id();
-            if done_tx.send((id, Instant::now(), response)).is_err() {
-                return;
-            }
-        }
-    });
-
-    let mut writer = stream;
-    let mut sent_at = std::collections::HashMap::new();
-    let epoch = Instant::now();
-    for j in 0..plan.requests {
-        let due = epoch + Duration::from_millis(plan.phase_ms + j * plan.gap_ms);
-        if let Some(wait) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
-        }
-        let id = plan.client_idx * 1_000_000 + j + 1;
-        let spec = place_spec((plan.seed_of)(plan.run_seed, plan.client_idx, j));
-        let request = Request::Place {
-            id,
-            spec,
-            deadline_ms: Some(plan.deadline_ms),
-        };
-        let mut line = serde_json::to_string(&request).expect("serialize request");
-        line.push('\n');
-        sent_at.insert(id, Instant::now());
-        if writer.write_all(line.as_bytes()).is_err() {
-            out.errors += plan.requests - j;
-            break;
+        let detail = conn.roundtrip(&Request::StatsDetail { id: 2 });
+        if let Ok(Response::StatsDetail { detail, .. }) = detail {
+            joins = detail.cache.coalesced_joins;
+            leader_solves = detail.cache.coalesced_leader_solves;
         }
     }
-    drop(writer);
-    let _ = reader.join();
-
-    let slo = Duration::from_millis(slo_ms);
-    let mut answered = 0u64;
-    while let Ok((id, at, response)) = done_rx.try_recv() {
-        answered += 1;
-        let Some(&sent) = sent_at.get(&id) else {
-            out.errors += 1;
-            continue;
-        };
-        let elapsed = at.duration_since(sent);
-        out.latencies_us.push(elapsed.as_micros() as u64);
-        match response {
-            Response::Placed { report, .. } => {
-                if !report.feasible {
-                    out.infeasible += 1;
-                } else if elapsed <= slo {
-                    out.goodput += 1;
-                } else {
-                    out.late += 1;
-                }
-            }
-            Response::Overloaded { .. } => out.shed += 1,
-            _ => out.errors += 1,
-        }
-    }
-    out.errors += out.offered.saturating_sub(answered + out.errors);
-    out
+    vec![
+        ("solves", solves),
+        ("cache_hits", cache_hits),
+        ("coalesced_joins", joins),
+        ("coalesced_leader_solves", leader_solves),
+    ]
 }
 
-/// Read the daemon's own counters over a fresh connection.
-fn read_counters(addr: &str, out: &mut ArmOutcome) {
-    let Ok(stream) = TcpStream::connect(addr) else {
-        return;
-    };
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let mut roundtrip = |request: &Request| -> Option<Response> {
-        let mut line = serde_json::to_string(request).ok()?;
-        line.push('\n');
-        writer.write_all(line.as_bytes()).ok()?;
-        let mut reply = String::new();
-        reader.read_line(&mut reply).ok()?;
-        serde_json::from_str(reply.trim()).ok()
-    };
-    if let Some(Response::Stats { stats, .. }) = roundtrip(&Request::Stats { id: 1 }) {
-        out.solves = stats.solves();
-        out.cache_hits = stats.cache_hits;
-    }
-    if let Some(Response::StatsDetail { detail, .. }) = roundtrip(&Request::StatsDetail { id: 2 }) {
-        out.coalesced_joins = detail.cache.coalesced_joins;
-        out.coalesced_leader_solves = detail.cache.coalesced_leader_solves;
-    }
-}
-
-fn run_arm(coalesce: bool, waves: u64, seed: u64, slo_ms: u64) -> ArmOutcome {
+fn run_arm(coalesce: bool, waves: u64, seed: u64, slo_ms: u64) -> Outcome {
     let handle = start(ServerConfig {
         workers: WORKERS,
         queue_depth: QUEUE_DEPTH,
@@ -290,6 +124,8 @@ fn run_arm(coalesce: bool, waves: u64, seed: u64, slo_ms: u64) -> ArmOutcome {
     .expect("start daemon");
     let addr = handle.addr().to_string();
 
+    // Hot waves share the spec seed across clients (that is the
+    // duplication); uniques never repeat one.
     let mut plans = Vec::new();
     for i in 0..HOT_CLIENTS {
         plans.push(ClientPlan {
@@ -297,48 +133,31 @@ fn run_arm(coalesce: bool, waves: u64, seed: u64, slo_ms: u64) -> ArmOutcome {
             phase_ms: HOT_PHASES_MS[i],
             gap_ms: SERVICE_MS,
             requests: waves,
-            deadline_ms: HOT_DEADLINES_MS[i],
-            seed_of: hot_seed,
-            run_seed: seed,
+            deadline_ms: Some(HOT_DEADLINES_MS[i]),
+            spec_seed: Box::new(move |j| (1 << 32) | (seed << 20) | j),
         });
     }
     let uniq_requests = (waves * SERVICE_MS).div_ceil(UNIQ_GAP_MS);
     for i in 0..UNIQ_CLIENTS {
+        let client_idx = (HOT_CLIENTS + i) as u64;
         plans.push(ClientPlan {
-            client_idx: (HOT_CLIENTS + i) as u64,
+            client_idx,
             phase_ms: i as u64 * UNIQ_GAP_MS / UNIQ_CLIENTS as u64,
             gap_ms: UNIQ_GAP_MS,
             requests: uniq_requests,
-            deadline_ms: UNIQ_DEADLINE_MS,
-            seed_of: uniq_seed,
-            run_seed: seed,
+            deadline_ms: Some(UNIQ_DEADLINE_MS),
+            spec_seed: Box::new(move |j| (2 << 32) | (seed << 20) | (client_idx << 12) | j),
         });
     }
 
-    let mut threads = Vec::new();
-    for plan in plans {
-        let addr = addr.clone();
-        threads.push(std::thread::spawn(move || run_client(&addr, &plan, slo_ms)));
-    }
-    let mut total = ArmOutcome::default();
-    for thread in threads {
-        let out = thread.join().expect("client thread panicked");
-        total.offered += out.offered;
-        total.goodput += out.goodput;
-        total.shed += out.shed;
-        total.late += out.late;
-        total.infeasible += out.infeasible;
-        total.errors += out.errors;
-        total.latencies_us.extend(out.latencies_us);
-    }
-    read_counters(&addr, &mut total);
+    let mut total = run_open_loop(&addr, plans, slo_ms);
+    total.counters = read_counters(&addr);
     handle.shutdown();
-    total.latencies_us.sort_unstable();
     total
 }
 
-fn record(arm: &str, out: &ArmOutcome, waves: u64, seed: u64, slo_ms: u64) -> BenchRecord {
-    BenchRecord::new("cache_ablation")
+fn record(arm: &str, out: &Outcome, waves: u64, seed: u64, slo_ms: u64) -> BenchRecord {
+    let params = BenchRecord::new("cache_ablation")
         .param_str("arm", arm)
         .param_u64("workers", WORKERS as u64)
         .param_u64("queue_depth", QUEUE_DEPTH as u64)
@@ -348,75 +167,28 @@ fn record(arm: &str, out: &ArmOutcome, waves: u64, seed: u64, slo_ms: u64) -> Be
         .param_u64("uniq_clients", UNIQ_CLIENTS as u64)
         .param_u64("uniq_gap_ms", UNIQ_GAP_MS)
         .param_u64("slo_ms", slo_ms)
-        .param_u64("seed", seed)
-        .metric_u64("offered", out.offered)
-        .metric_u64("goodput", out.goodput)
-        .metric_u64("shed", out.shed)
-        .metric_u64("late", out.late)
-        .metric_u64("infeasible", out.infeasible)
-        .metric_u64("errors", out.errors)
-        .metric_u64("solves", out.solves)
-        .metric_u64("cache_hits", out.cache_hits)
-        .metric_u64("coalesced_joins", out.coalesced_joins)
-        .metric_u64("coalesced_leader_solves", out.coalesced_leader_solves)
-        .metric_f64(
-            "goodput_ratio",
-            out.goodput as f64 / out.offered.max(1) as f64,
-        )
-        .metric_f64("latency_p50_ms", percentile_ms(&out.latencies_us, 50.0))
-        .metric_f64("latency_p95_ms", percentile_ms(&out.latencies_us, 95.0))
+        .param_u64("seed", seed);
+    out.metrics(params)
 }
 
 fn main() {
-    let mut positional: Vec<u64> = Vec::new();
-    let mut out_path = "BENCH_cache.json".to_string();
-    let mut slo_ms = 600u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--slo-ms" => {
-                slo_ms = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--slo-ms needs a number")
-            }
-            other => positional.push(other.parse().unwrap_or_else(|_| {
-                eprintln!("usage: cache_load [waves] [seed] [--slo-ms MS] [--out PATH]");
-                std::process::exit(2);
-            })),
-        }
-    }
-    let waves = positional.first().copied().unwrap_or(48);
-    let seed = positional.get(1).copied().unwrap_or(0);
+    let cli = Cli::parse(
+        &["--out", "--slo-ms"],
+        "cache_load [waves] [seed] [--slo-ms MS] [--out PATH]",
+    );
+    let out_path: String = cli.flag("--out", "BENCH_cache.json".to_string());
+    let slo_ms = cli.flag("--slo-ms", 600u64);
+    let waves = cli.positional(0, 48);
+    let seed = cli.positional(1, 0);
 
     eprintln!(
         "cache_load: {waves} waves x {HOT_CLIENTS} duplicate clients every {SERVICE_MS}ms \
          + {UNIQ_CLIENTS} unique clients every {UNIQ_GAP_MS}ms, client SLO {slo_ms}ms"
     );
     let coalesced = run_arm(true, waves, seed, slo_ms);
-    eprintln!(
-        "  coalesced: offered {} goodput {} shed {} late {} errors {} \
-         (solves {}, joins {}, leader_solves {})",
-        coalesced.offered,
-        coalesced.goodput,
-        coalesced.shed,
-        coalesced.late,
-        coalesced.errors,
-        coalesced.solves,
-        coalesced.coalesced_joins,
-        coalesced.coalesced_leader_solves,
-    );
+    eprintln!("  coalesced: {}", coalesced.summary());
     let baseline = run_arm(false, waves, seed, slo_ms);
-    eprintln!(
-        "  baseline:  offered {} goodput {} shed {} late {} errors {} (solves {})",
-        baseline.offered,
-        baseline.goodput,
-        baseline.shed,
-        baseline.late,
-        baseline.errors,
-        baseline.solves,
-    );
+    eprintln!("  baseline:  {}", baseline.summary());
 
     let records = vec![
         record("coalesced", &coalesced, waves, seed, slo_ms),

@@ -22,27 +22,19 @@
 //! measures exactly what each arm could truly serve.
 //!
 //! **Goodput** is a response that is feasible *and arrived within the
-//! client's SLO of the send time* — the same judge as `overload_load`
-//! and `cache_load`. The binary writes both arms to `BENCH_cluster.json`
-//! (shared `BenchRecord` schema); the `bench_gate` stage asserts
-//! `four_backends >= 2.5x one_backend`.
+//! client's SLO of the send time*, judged by the shared open-loop
+//! harness `rrf_bench::load`. The binary writes both arms to
+//! `BENCH_cluster.json` (shared `BenchRecord` schema); the `bench_gate`
+//! stage asserts `four_backends >= 2.5x one_backend`.
 //!
 //! Usage: `cluster_load [requests_per_client] [seed] [--slo-ms MS] [--out PATH]`
 //! (defaults 40, 0, 900).
 
 #![forbid(unsafe_code)]
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
-
+use rrf_bench::load::{run_open_loop, Cli, ClientPlan, Outcome, SERVICE_MS};
 use rrf_bench::record::{write_records, BenchRecord};
-use rrf_bench::workload::{percentile_ms, small_region_spec};
-use rrf_flow::{FlowSpec, ModuleEntry, PlacerSettings};
-use rrf_modgen::{generate_workload, WorkloadSpec};
-use rrf_router::{BackendSpec, RouterConfig, RouterHandle, RouterStats};
-use rrf_server::{start, Request, Response, ServerConfig, ServerHandle};
-
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use rrf_router::{BackendSpec, RouterConfig, RouterHandle};
+use rrf_server::{start, ServerConfig, ServerHandle};
 
 /// Per-backend capacity knobs — identical in both arms.
 const WORKERS: usize = 2;
@@ -50,153 +42,12 @@ const WORKERS: usize = 2;
 /// SERVICE_MS / WORKERS = 600 ms`, under the default 900 ms SLO — excess
 /// load is shed at the door, never served late.
 const QUEUE_DEPTH: usize = 8;
-/// Pinned per-request CP budget (the spec's own time limit).
-const SERVICE_MS: u64 = 150;
-/// Modules per generated spec (see `overload_load`).
-const SPEC_MODULES: usize = 8;
 
 /// The open-loop offered load: `CLIENTS / GAP_MS = ~53.3` req/s, 4x one
 /// backend's `WORKERS / SERVICE_MS = ~13.3` req/s saturation point.
 const CLIENTS: usize = 16;
 const GAP_MS: u64 = 300;
 const DEADLINE_MS: u64 = 6_000;
-
-fn place_spec(seed: u64) -> FlowSpec {
-    let workload = generate_workload(&WorkloadSpec::small(SPEC_MODULES, seed));
-    FlowSpec {
-        region: small_region_spec(),
-        modules: workload
-            .modules
-            .into_iter()
-            .map(|m| ModuleEntry {
-                name: m.name,
-                shapes: m.shapes,
-                netlist: None,
-            })
-            .collect(),
-        placer: PlacerSettings {
-            time_limit_ms: Some(SERVICE_MS),
-            ..PlacerSettings::default()
-        },
-    }
-}
-
-/// Unique spec per (client, request) — nothing cacheable, nothing
-/// coalesceable: raw horizontal capacity is the only variable.
-fn uniq_seed(run_seed: u64, client_idx: u64, j: u64) -> u64 {
-    (3 << 32) | (run_seed << 20) | (client_idx << 12) | j
-}
-
-#[derive(Default)]
-struct ArmOutcome {
-    offered: u64,
-    goodput: u64,
-    shed: u64,
-    late: u64,
-    infeasible: u64,
-    errors: u64,
-    latencies_us: Vec<u64>,
-}
-
-/// One open-loop client through the router: a sender thread fires on the
-/// fixed schedule (never waiting for replies), a reader stamps arrivals.
-fn run_client(
-    addr: &str,
-    client_idx: u64,
-    requests: u64,
-    run_seed: u64,
-    slo_ms: u64,
-) -> ArmOutcome {
-    let mut out = ArmOutcome {
-        offered: requests,
-        ..ArmOutcome::default()
-    };
-    let stream = match TcpStream::connect(addr) {
-        Ok(stream) => stream,
-        Err(_) => {
-            out.errors = requests;
-            return out;
-        }
-    };
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let reader_stream = stream.try_clone().unwrap();
-    let (done_tx, done_rx) = mpsc::channel::<(u64, Instant, Response)>();
-    let reader = std::thread::spawn(move || {
-        let mut reader = BufReader::new(reader_stream);
-        let mut line = String::new();
-        for _ in 0..requests {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
-            let Ok(response) = serde_json::from_str::<Response>(line.trim()) else {
-                return;
-            };
-            let id = response.id();
-            if done_tx.send((id, Instant::now(), response)).is_err() {
-                return;
-            }
-        }
-    });
-
-    let mut writer = stream;
-    let mut sent_at = std::collections::HashMap::new();
-    let epoch = Instant::now();
-    // Clients phase-stagger across one gap so the fleet sees a smooth
-    // ~53 req/s rather than 16-wide synchronized bursts.
-    let phase_ms = client_idx * GAP_MS / CLIENTS as u64;
-    for j in 0..requests {
-        let due = epoch + Duration::from_millis(phase_ms + j * GAP_MS);
-        if let Some(wait) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
-        }
-        let id = client_idx * 1_000_000 + j + 1;
-        let request = Request::Place {
-            id,
-            spec: place_spec(uniq_seed(run_seed, client_idx, j)),
-            deadline_ms: Some(DEADLINE_MS),
-        };
-        let mut line = serde_json::to_string(&request).expect("serialize request");
-        line.push('\n');
-        sent_at.insert(id, Instant::now());
-        if writer.write_all(line.as_bytes()).is_err() {
-            out.errors += requests - j;
-            break;
-        }
-    }
-    drop(writer);
-    let _ = reader.join();
-
-    let slo = Duration::from_millis(slo_ms);
-    let mut answered = 0u64;
-    while let Ok((id, at, response)) = done_rx.try_recv() {
-        answered += 1;
-        let Some(&sent) = sent_at.get(&id) else {
-            out.errors += 1;
-            continue;
-        };
-        let elapsed = at.duration_since(sent);
-        out.latencies_us.push(elapsed.as_micros() as u64);
-        match response {
-            Response::Placed { report, .. } => {
-                if !report.feasible {
-                    out.infeasible += 1;
-                } else if elapsed <= slo {
-                    out.goodput += 1;
-                } else {
-                    out.late += 1;
-                }
-            }
-            Response::Overloaded { .. } => out.shed += 1,
-            _ => out.errors += 1,
-        }
-    }
-    out.errors += out.offered.saturating_sub(answered + out.errors);
-    out
-}
 
 /// Bring up `backends` in-process daemons and a router over them.
 fn start_cluster(backends: usize) -> (Vec<ServerHandle>, RouterHandle) {
@@ -228,46 +79,45 @@ fn start_cluster(backends: usize) -> (Vec<ServerHandle>, RouterHandle) {
     (handles, router)
 }
 
-fn run_arm(backends: usize, requests: u64, seed: u64, slo_ms: u64) -> (ArmOutcome, RouterStats) {
+fn run_arm(backends: usize, requests: u64, seed: u64, slo_ms: u64) -> Outcome {
     let (handles, router) = start_cluster(backends);
-    let addr = router.addr().to_string();
-    let mut threads = Vec::new();
-    for client_idx in 0..CLIENTS as u64 {
-        let addr = addr.clone();
-        threads.push(std::thread::spawn(move || {
-            run_client(&addr, client_idx, requests, seed, slo_ms)
-        }));
-    }
-    let mut total = ArmOutcome::default();
-    for thread in threads {
-        let out = thread.join().expect("client thread panicked");
-        total.offered += out.offered;
-        total.goodput += out.goodput;
-        total.shed += out.shed;
-        total.late += out.late;
-        total.infeasible += out.infeasible;
-        total.errors += out.errors;
-        total.latencies_us.extend(out.latencies_us);
-    }
+    // Unique spec per (client, request) — nothing cacheable, nothing
+    // coalesceable: raw horizontal capacity is the only variable. Clients
+    // phase-stagger across one gap so the fleet sees a smooth ~53 req/s
+    // rather than 16-wide synchronized bursts.
+    let plans = (0..CLIENTS as u64)
+        .map(|client_idx| ClientPlan {
+            client_idx,
+            phase_ms: client_idx * GAP_MS / CLIENTS as u64,
+            gap_ms: GAP_MS,
+            requests,
+            deadline_ms: Some(DEADLINE_MS),
+            spec_seed: Box::new(move |j| (3 << 32) | (seed << 20) | (client_idx << 12) | j),
+        })
+        .collect();
+    let mut total = run_open_loop(&router.addr().to_string(), plans, slo_ms);
     let stats = router.stats();
+    total.counters = vec![
+        ("routed_requests", stats.routed_requests),
+        ("router_no_backend", stats.no_backend),
+        ("router_ejections", stats.ejections),
+    ];
     router.shutdown();
     for handle in handles {
         handle.shutdown();
     }
-    total.latencies_us.sort_unstable();
-    (total, stats)
+    total
 }
 
 fn record(
     arm: &str,
     backends: usize,
-    out: &ArmOutcome,
-    stats: &RouterStats,
+    out: &Outcome,
     requests: u64,
     seed: u64,
     slo_ms: u64,
 ) -> BenchRecord {
-    BenchRecord::new("cluster_ablation")
+    let params = BenchRecord::new("cluster_ablation")
         .param_str("arm", arm)
         .param_u64("backends", backends as u64)
         .param_u64("workers_per_backend", WORKERS as u64)
@@ -277,48 +127,19 @@ fn record(
         .param_u64("gap_ms", GAP_MS)
         .param_u64("requests_per_client", requests)
         .param_u64("slo_ms", slo_ms)
-        .param_u64("seed", seed)
-        .metric_u64("offered", out.offered)
-        .metric_u64("goodput", out.goodput)
-        .metric_u64("shed", out.shed)
-        .metric_u64("late", out.late)
-        .metric_u64("infeasible", out.infeasible)
-        .metric_u64("errors", out.errors)
-        .metric_u64("routed_requests", stats.routed_requests)
-        .metric_u64("router_no_backend", stats.no_backend)
-        .metric_u64("router_ejections", stats.ejections)
-        .metric_f64(
-            "goodput_ratio",
-            out.goodput as f64 / out.offered.max(1) as f64,
-        )
-        .metric_f64("latency_p50_ms", percentile_ms(&out.latencies_us, 50.0))
-        .metric_f64("latency_p95_ms", percentile_ms(&out.latencies_us, 95.0))
+        .param_u64("seed", seed);
+    out.metrics(params)
 }
 
 fn main() {
-    let mut positional: Vec<u64> = Vec::new();
-    let mut out_path = "BENCH_cluster.json".to_string();
-    let mut slo_ms = 900u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--slo-ms" => {
-                slo_ms = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--slo-ms needs a number")
-            }
-            other => positional.push(other.parse().unwrap_or_else(|_| {
-                eprintln!(
-                    "usage: cluster_load [requests_per_client] [seed] [--slo-ms MS] [--out PATH]"
-                );
-                std::process::exit(2);
-            })),
-        }
-    }
-    let requests = positional.first().copied().unwrap_or(40);
-    let seed = positional.get(1).copied().unwrap_or(0);
+    let cli = Cli::parse(
+        &["--out", "--slo-ms"],
+        "cluster_load [requests_per_client] [seed] [--slo-ms MS] [--out PATH]",
+    );
+    let out_path: String = cli.flag("--out", "BENCH_cluster.json".to_string());
+    let slo_ms = cli.flag("--slo-ms", 900u64);
+    let requests = cli.positional(0, 40);
+    let seed = cli.positional(1, 0);
 
     eprintln!(
         "cluster_load: {CLIENTS} clients x {requests} unique specs every {GAP_MS}ms \
@@ -326,28 +147,14 @@ fn main() {
         CLIENTS as f64 * 1000.0 / GAP_MS as f64,
         WORKERS as f64 * 1000.0 / SERVICE_MS as f64,
     );
-    let (four, four_stats) = run_arm(4, requests, seed, slo_ms);
-    eprintln!(
-        "  four_backends: offered {} goodput {} shed {} late {} errors {} (routed {})",
-        four.offered, four.goodput, four.shed, four.late, four.errors, four_stats.routed_requests,
-    );
-    let (one, one_stats) = run_arm(1, requests, seed, slo_ms);
-    eprintln!(
-        "  one_backend:   offered {} goodput {} shed {} late {} errors {} (routed {})",
-        one.offered, one.goodput, one.shed, one.late, one.errors, one_stats.routed_requests,
-    );
+    let four = run_arm(4, requests, seed, slo_ms);
+    eprintln!("  four_backends: {}", four.summary());
+    let one = run_arm(1, requests, seed, slo_ms);
+    eprintln!("  one_backend:   {}", one.summary());
 
     let records = vec![
-        record(
-            "four_backends",
-            4,
-            &four,
-            &four_stats,
-            requests,
-            seed,
-            slo_ms,
-        ),
-        record("one_backend", 1, &one, &one_stats, requests, seed, slo_ms),
+        record("four_backends", 4, &four, requests, seed, slo_ms),
+        record("one_backend", 1, &one, requests, seed, slo_ms),
     ];
     write_records(&out_path, &records).expect("write records");
     eprintln!("cluster_load: wrote {out_path}");

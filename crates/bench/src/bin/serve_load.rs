@@ -13,62 +13,18 @@
 //! (defaults 4, 30, 0; without `--addr` an in-process daemon is started).
 
 #![forbid(unsafe_code)]
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use rrf_bench::load::{place_spec, Conn};
 use rrf_bench::workload::{percentile_ms, small_online_module, small_region_spec};
-use rrf_flow::{FlowSpec, ModuleEntry, PlacerSettings};
-use rrf_modgen::{generate_workload, WorkloadSpec};
+use rrf_flow::PlacerSettings;
 use rrf_server::{start, Request, Response, ServerConfig};
 
 /// Distinct place specs in rotation; small enough that a miss solves well
 /// inside the deadline, few enough that most requests are cache hits.
 const PLACE_SPECS: u64 = 5;
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-        Ok(Client {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
-    }
-
-    fn roundtrip(&mut self, request: &Request) -> std::io::Result<Response> {
-        let mut line = serde_json::to_string(request).expect("serialize request");
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply)?;
-        serde_json::from_str(reply.trim())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-}
-
-fn place_spec(seed: u64) -> FlowSpec {
-    let workload = generate_workload(&WorkloadSpec::small(4, seed));
-    FlowSpec {
-        region: small_region_spec(),
-        modules: workload
-            .modules
-            .into_iter()
-            .map(|m| ModuleEntry {
-                name: m.name,
-                shapes: m.shapes,
-                netlist: None,
-            })
-            .collect(),
-        placer: PlacerSettings::default(),
-    }
-}
-
+#[derive(Default)]
 struct ClientOutcome {
     latencies_us: Vec<u64>,
     protocol_errors: Vec<String>,
@@ -84,14 +40,8 @@ fn run_client(
     base_seed: u64,
     deadline_ms: u64,
 ) -> ClientOutcome {
-    let mut out = ClientOutcome {
-        latencies_us: Vec::with_capacity(requests as usize + 2),
-        protocol_errors: Vec::new(),
-        place_hits: 0,
-        place_misses: 0,
-        inserts_rejected: 0,
-    };
-    let mut client = match Client::connect(addr) {
+    let mut out = ClientOutcome::default();
+    let mut client = match Conn::connect(addr, Duration::from_secs(60)) {
         Ok(client) => client,
         Err(e) => {
             out.protocol_errors.push(format!("connect: {e}"));
@@ -101,7 +51,7 @@ fn run_client(
     let mut next_id: u64 = client_idx * 1_000_000;
     let mut slots: Vec<u64> = Vec::new();
 
-    let issue = |client: &mut Client, request: Request, out: &mut ClientOutcome| {
+    let issue = |client: &mut Conn, request: Request, out: &mut ClientOutcome| {
         let id = request.id();
         let started = Instant::now();
         match client.roundtrip(&request) {
@@ -146,7 +96,11 @@ fn run_client(
         let request = match (i % 6, session) {
             (0 | 3, _) => Request::Place {
                 id,
-                spec: place_spec(base_seed + (client_idx + i) % PLACE_SPECS),
+                spec: place_spec(
+                    4,
+                    base_seed + (client_idx + i) % PLACE_SPECS,
+                    PlacerSettings::default(),
+                ),
                 deadline_ms: Some(deadline_ms),
             },
             (1 | 4, Some(session)) => Request::Insert {
@@ -218,11 +172,9 @@ fn main() {
     let base_seed: u64 = positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(0);
 
     // Spawn an in-process daemon unless pointed at a running one.
-    let handle = if addr.is_none() {
-        Some(start(ServerConfig::default()).expect("start daemon"))
-    } else {
-        None
-    };
+    let handle = addr
+        .is_none()
+        .then(|| start(ServerConfig::default()).expect("start daemon"));
     let addr = addr.unwrap_or_else(|| handle.as_ref().unwrap().addr().to_string());
 
     eprintln!(
@@ -265,7 +217,7 @@ fn main() {
     println!("place cache: {hits} hits / {misses} misses");
     println!("online:      {rejected} inserts rejected (region full — not errors)");
 
-    if let Ok(mut client) = Client::connect(&addr) {
+    if let Ok(mut client) = Conn::connect(&addr, Duration::from_secs(60)) {
         if let Ok(Response::Stats { stats, .. }) = client.roundtrip(&Request::Stats { id: 1 }) {
             println!(
                 "server:      {} requests, {} fallbacks, {} backpressure rejections, \

@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiment;
+pub mod load;
 pub mod record;
 pub mod traceload;
 pub mod workload;

@@ -89,6 +89,29 @@ pub fn write_records(path: &str, records: &[BenchRecord]) -> std::io::Result<()>
     f.write_all(render(records).as_bytes())
 }
 
+/// The schema of a rendered artifact, one line per record: its bench
+/// name, then its param keys and its metric keys in order. Values are
+/// left out, so a fresh measurement and a committed artifact have equal
+/// schemas exactly when they share a format.
+pub fn schema(rendered: &str) -> Vec<String> {
+    let value: Value = serde_json::from_str(rendered).expect("artifact is JSON");
+    let keys = |record: &Value, field: &str| -> String {
+        let fields = record.get(field).and_then(Value::as_object).unwrap_or(&[]);
+        let names: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        names.join(",")
+    };
+    value
+        .as_array()
+        .expect("artifact is a JSON array")
+        .iter()
+        .map(|record| {
+            let bench = record.get("bench").and_then(Value::as_str).unwrap_or("");
+            let (params, metrics) = (keys(record, "params"), keys(record, "metrics"));
+            format!("{bench} params={params} metrics={metrics}")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,5 +138,25 @@ mod tests {
             Value::Array(items) => assert_eq!(items.len(), 2),
             other => panic!("expected array, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn schema_keeps_key_order_and_drops_values() {
+        let a = BenchRecord::new("b")
+            .param_u64("seed", 1)
+            .metric_u64("x", 2)
+            .metric_f64("y", 0.5);
+        let b = BenchRecord::new("b")
+            .param_u64("seed", 9)
+            .metric_u64("x", 7)
+            .metric_f64("y", 1.5);
+        let swapped = BenchRecord::new("b")
+            .param_u64("seed", 1)
+            .metric_f64("y", 0.5)
+            .metric_u64("x", 2);
+        let of = |r: BenchRecord| schema(&render(&[r]));
+        assert_eq!(of(a.clone()), ["b params=seed metrics=x,y"]);
+        assert_eq!(of(a.clone()), of(b));
+        assert_ne!(of(a), of(swapped));
     }
 }

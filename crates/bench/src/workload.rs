@@ -6,6 +6,10 @@
 //! alternatives module arms, and an arrival policy. They live here once,
 //! so the binaries stay comparable — identical seeds draw identical
 //! streams across experiments.
+//!
+//! The service ablations' open-loop clients, their SLO judge and the
+//! wire connection `serve_load` drives live in [`crate::load`], which
+//! builds its specs on this module's small region.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -2,8 +2,6 @@
 //! real duplicate burst, and the unified write-back (one guarded insert
 //! site for both the feasible and infeasible solve paths).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -12,51 +10,17 @@ use rrf_flow::{DeviceSpec, FlowSpec, ModuleEntry, PlacerSettings, RegionSpec};
 use rrf_geost::{ShapeDef, ShiftedBox};
 use rrf_server::{start, PlaceMethod, Request, Response, ServerConfig};
 
-/// A client that keeps the raw response line, so tests can compare the
-/// exact bytes the daemon wrote.
-struct RawClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
+mod common;
+use common::Client;
 
-impl RawClient {
-    fn connect(addr: std::net::SocketAddr) -> RawClient {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        RawClient {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, request: &Request) {
-        let mut line = serde_json::to_string(request).unwrap();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
-    }
-
-    fn recv_raw(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        line.trim_end().to_string()
-    }
-
-    fn roundtrip(&mut self, request: &Request) -> Response {
-        self.send(request);
-        serde_json::from_str(&self.recv_raw()).expect("parse response")
-    }
-}
-
-fn fetch_stats(client: &mut RawClient, id: u64) -> rrf_server::ServerStats {
+fn fetch_stats(client: &mut Client, id: u64) -> rrf_server::ServerStats {
     match client.roundtrip(&Request::Stats { id }) {
         Response::Stats { stats, .. } => stats,
         other => panic!("expected stats, got {other:?}"),
     }
 }
 
-fn fetch_detail(client: &mut RawClient, id: u64) -> rrf_server::DetailStats {
+fn fetch_detail(client: &mut Client, id: u64) -> rrf_server::DetailStats {
     match client.roundtrip(&Request::StatsDetail { id }) {
         Response::StatsDetail { detail, .. } => detail,
         other => panic!("expected stats_detail, got {other:?}"),
@@ -121,7 +85,7 @@ fn duplicate_burst_coalesces_into_one_solve() {
     // The leader goes first with the roomiest deadline, so every
     // follower (same spec, less remaining budget) joins its flight
     // rather than solving solo.
-    let mut leader = RawClient::connect(addr);
+    let mut leader = Client::connect(addr);
     leader.send(&Request::Place {
         id: 7,
         spec: spec.clone(),
@@ -137,7 +101,7 @@ fn duplicate_burst_coalesces_into_one_solve() {
         let barrier = Arc::clone(&barrier);
         let spec = spec.clone();
         joiners.push(std::thread::spawn(move || {
-            let mut client = RawClient::connect(addr);
+            let mut client = Client::connect(addr);
             barrier.wait();
             client.send(&Request::Place {
                 id: 7,
@@ -176,7 +140,7 @@ fn duplicate_burst_coalesces_into_one_solve() {
         assert_eq!(mask_elapsed(line), reference, "coalesced payloads diverge");
     }
 
-    let mut observer = RawClient::connect(addr);
+    let mut observer = Client::connect(addr);
     let stats = fetch_stats(&mut observer, 100);
     let detail = fetch_detail(&mut observer, 101);
     assert_eq!(
@@ -248,28 +212,27 @@ fn unprovable_pair() -> FlowSpec {
 #[test]
 fn unproven_infeasible_entries_ride_the_budget_upgrade_ladder() {
     let handle = start(ServerConfig::default()).unwrap();
-    let mut client = RawClient::connect(handle.addr());
+    let mut client = Client::connect(handle.addr());
     let spec = unprovable_pair();
 
-    let place = |client: &mut RawClient, id: u64, deadline_ms: u64| match client.roundtrip(
-        &Request::Place {
+    let place =
+        |client: &mut Client, id: u64, deadline_ms: u64| match client.roundtrip(&Request::Place {
             id,
             spec: spec.clone(),
             deadline_ms: Some(deadline_ms),
-        },
-    ) {
-        Response::Placed {
-            method,
-            cache_hit,
-            report,
-            ..
-        } => {
-            assert_eq!(method, PlaceMethod::Infeasible);
-            assert!(!report.feasible);
-            (cache_hit, report.proven)
-        }
-        other => panic!("expected placed, got {other:?}"),
-    };
+        }) {
+            Response::Placed {
+                method,
+                cache_hit,
+                report,
+                ..
+            } => {
+                assert_eq!(method, PlaceMethod::Infeasible);
+                assert!(!report.feasible);
+                (cache_hit, report.proven)
+            }
+            other => panic!("expected placed, got {other:?}"),
+        };
 
     // 120 ms is under the tight-budget bar: CP never runs, greedy fails,
     // and the unproven verdict is cached with a ~120 ms budget.

@@ -4,10 +4,8 @@
 //! and a mangled snapshot costs the tail, never the daemon — proven for
 //! every byte-offset truncation and for arbitrary byte flips.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::Command;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rrf_fabric::ResourceKind;
@@ -16,32 +14,8 @@ use rrf_geost::{ShapeDef, ShiftedBox};
 use rrf_server::cache::{persist, CacheEntry};
 use rrf_server::{start, PlaceMethod, Request, Response, ServerConfig};
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn roundtrip(&mut self, request: &Request) -> Response {
-        let mut line = serde_json::to_string(request).unwrap();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read response");
-        serde_json::from_str(reply.trim()).expect("parse response")
-    }
-}
+mod common;
+use common::{spawn_serve, wait_for_exit, Client, Daemon};
 
 fn clb_shape(w: i32, h: i32) -> ShapeDef {
     ShapeDef::new(vec![ShiftedBox::new(0, 0, w, h, ResourceKind::Clb)])
@@ -159,45 +133,17 @@ fn graceful_shutdown_snapshot_warm_loads_across_shard_counts() {
     let _ = std::fs::remove_file(&path);
 }
 
-fn spawn_daemon(persist_path: &std::path::Path) -> (Child, std::net::SocketAddr) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rrf-serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--cache-shards",
-            "4",
-            "--cache-persist",
-            persist_path.to_str().unwrap(),
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn rrf-serve");
-    let stdout = child.stdout.take().unwrap();
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read startup line");
-    let addr = line
-        .trim()
-        .strip_prefix("rrf-serve listening on ")
-        .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
-        .parse()
-        .expect("parse bound address");
-    (child, addr)
-}
-
-fn wait_for_exit(child: &mut Child) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if child.try_wait().expect("try_wait").is_some() {
-            return;
-        }
-        assert!(Instant::now() < deadline, "daemon did not exit in time");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+/// A two-worker, four-shard `rrf-serve` persisting its cache to
+/// `persist_path`.
+fn spawn_daemon(persist_path: &std::path::Path) -> Daemon {
+    spawn_serve(&[
+        "--workers",
+        "2",
+        "--cache-shards",
+        "4",
+        "--cache-persist",
+        persist_path.to_str().unwrap(),
+    ])
 }
 
 #[test]
@@ -207,7 +153,7 @@ fn sigterm_writes_snapshot_and_restart_serves_warm_hits() {
     let _ = std::fs::remove_file(&path);
     let spec = small_spec(7);
 
-    let (mut child, addr) = spawn_daemon(&path);
+    let Daemon { mut child, addr } = spawn_daemon(&path);
     let mut client = Client::connect(addr);
     assert!(!place(&mut client, 1, &spec));
     drop(client);
@@ -219,7 +165,7 @@ fn sigterm_writes_snapshot_and_restart_serves_warm_hits() {
     wait_for_exit(&mut child);
     assert!(path.exists(), "SIGTERM must write the snapshot");
 
-    let (mut child, addr) = spawn_daemon(&path);
+    let Daemon { mut child, addr } = spawn_daemon(&path);
     let mut client = Client::connect(addr);
     assert!(
         place(&mut client, 2, &spec),

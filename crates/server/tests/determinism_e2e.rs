@@ -8,8 +8,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use rrf_fabric::{Fault, ResourceKind};
@@ -18,34 +16,8 @@ use rrf_geost::{ShapeDef, ShiftedBox};
 use rrf_sched::TaskSpec;
 use rrf_server::{start, Request, ServerConfig};
 
-struct RawClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl RawClient {
-    fn connect(addr: std::net::SocketAddr) -> RawClient {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        RawClient {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    /// Send one request, return the raw (unparsed) response line — the
-    /// exact bytes a client would see, trailing newline stripped.
-    fn roundtrip_raw(&mut self, request: &Request) -> String {
-        let mut line = serde_json::to_string(request).unwrap();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read response");
-        reply.trim_end().to_string()
-    }
-}
+mod common;
+use common::Client;
 
 fn shape(w: i32, h: i32) -> ShapeDef {
     ShapeDef::new(vec![ShiftedBox::new(0, 0, w, h, ResourceKind::Clb)])
@@ -78,7 +50,7 @@ fn run_once() -> Vec<String> {
         ..ServerConfig::default()
     })
     .expect("start server");
-    let mut client = RawClient::connect(handle.addr());
+    let mut client = Client::connect(handle.addr());
 
     let mut id = 0u64;
     let mut next_id = || {
@@ -201,7 +173,7 @@ fn run_persisted(persist: &std::path::Path, shards: usize) -> Vec<String> {
         ..ServerConfig::default()
     })
     .expect("start server");
-    let mut client = RawClient::connect(handle.addr());
+    let mut client = Client::connect(handle.addr());
 
     let spec = |salt: i32| rrf_flow::FlowSpec {
         region: RegionSpec {

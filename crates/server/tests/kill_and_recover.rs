@@ -4,90 +4,15 @@
 //! state. A second phase SIGTERMs the recovered daemon and checks the
 //! graceful path compacts the journal to a single snapshot line.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::Command;
 
 use rrf_fabric::{Fault, ResourceKind};
 use rrf_flow::{DeviceSpec, ModuleEntry, RegionSpec};
 use rrf_geost::{ShapeDef, ShiftedBox};
 use rrf_server::{Request, Response};
 
-struct Daemon {
-    child: Child,
-    addr: std::net::SocketAddr,
-}
-
-/// Spawn `rrf-serve --journal <path>` on an ephemeral port and parse the
-/// bound address from its startup line.
-fn spawn_daemon(journal: &std::path::Path) -> Daemon {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rrf-serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--journal",
-            journal.to_str().unwrap(),
-            "--journal-fsync-every",
-            "1",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn rrf-serve");
-    let stdout = child.stdout.take().unwrap();
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read startup line");
-    let addr = line
-        .trim()
-        .strip_prefix("rrf-serve listening on ")
-        .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
-        .parse()
-        .expect("parse bound address");
-    Daemon { child, addr }
-}
-
-fn wait_for_exit(child: &mut Child) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if child.try_wait().expect("try_wait").is_some() {
-            return;
-        }
-        assert!(Instant::now() < deadline, "daemon did not exit in time");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn roundtrip(&mut self, request: &Request) -> Response {
-        let mut line = serde_json::to_string(request).unwrap();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read response");
-        serde_json::from_str(reply.trim()).expect("parse response")
-    }
-}
+mod common;
+use common::{spawn_journaled, wait_for_exit, Client};
 
 fn clb_module(name: &str, w: i32, h: i32) -> ModuleEntry {
     ModuleEntry {
@@ -125,7 +50,7 @@ fn sigkill_then_restart_replays_bit_identical_sessions() {
     // Life 1: two sessions with inserts, a removal, a fault, and a repair —
     // then SIGKILL with no warning. fsync-every=1 makes each answered
     // request durable.
-    let mut daemon = spawn_daemon(&journal);
+    let mut daemon = spawn_journaled(&journal);
     let mut client = Client::connect(daemon.addr);
     let open = |client: &mut Client, id: u64| match client.roundtrip(&Request::OpenSession {
         id,
@@ -201,7 +126,7 @@ fn sigkill_then_restart_replays_bit_identical_sessions() {
 
     // Life 2: replay must rebuild both sessions exactly — same slots, same
     // occupancy digest, same live faults.
-    let mut daemon = spawn_daemon(&journal);
+    let mut daemon = spawn_journaled(&journal);
     let mut client = Client::connect(daemon.addr);
     assert_eq!(dump(&mut client, 30, s1), before_s1);
     assert_eq!(dump(&mut client, 31, s2), before_s2);
@@ -227,7 +152,7 @@ fn sigkill_then_restart_replays_bit_identical_sessions() {
     assert!(text.starts_with(r#"{"op":"snapshot""#));
 
     // ...and a third life recovers from that snapshot alone.
-    let mut daemon = spawn_daemon(&journal);
+    let mut daemon = spawn_journaled(&journal);
     let mut client = Client::connect(daemon.addr);
     assert_eq!(dump(&mut client, 40, s1), before_s1);
     assert_eq!(dump(&mut client, 41, s2), before_s2);

@@ -3,10 +3,7 @@
 //! crash-durable by SIGKILLing a journaled `rrf-serve` mid-session and
 //! demanding a bit-identical schedule digest after restart.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::Command;
 
 use rrf_fabric::{Fault, ResourceKind};
 use rrf_flow::{DeviceSpec, ModuleEntry, RegionSpec};
@@ -14,32 +11,8 @@ use rrf_geost::{ShapeDef, ShiftedBox};
 use rrf_sched::TaskSpec;
 use rrf_server::{start, Request, Response, ServerConfig};
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn roundtrip(&mut self, request: &Request) -> Response {
-        let mut line = serde_json::to_string(request).unwrap();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read response");
-        serde_json::from_str(reply.trim()).expect("parse response")
-    }
-}
+mod common;
+use common::{spawn_journaled, wait_for_exit, Client};
 
 fn clb_shape(w: i32, h: i32) -> ShapeDef {
     ShapeDef::new(vec![ShiftedBox::new(0, 0, w, h, ResourceKind::Clb)])
@@ -242,52 +215,6 @@ fn submit_cancel_status_round_trip() {
     handle.shutdown();
 }
 
-struct Daemon {
-    child: Child,
-    addr: std::net::SocketAddr,
-}
-
-fn spawn_daemon(journal: &std::path::Path) -> Daemon {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rrf-serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--journal",
-            journal.to_str().unwrap(),
-            "--journal-fsync-every",
-            "1",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn rrf-serve");
-    let stdout = child.stdout.take().unwrap();
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read startup line");
-    let addr = line
-        .trim()
-        .strip_prefix("rrf-serve listening on ")
-        .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
-        .parse()
-        .expect("parse bound address");
-    Daemon { child, addr }
-}
-
-fn wait_for_exit(child: &mut Child) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if child.try_wait().expect("try_wait").is_some() {
-            return;
-        }
-        assert!(Instant::now() < deadline, "daemon did not exit in time");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 /// SIGKILL mid-schedule, restart on the same journal, and demand the
 /// recovered scheduler land on a bit-identical digest — clock, queue,
 /// ledger, and counters included. Ops after recovery must keep working.
@@ -297,7 +224,7 @@ fn sigkill_then_restart_replays_bit_identical_schedule() {
         std::env::temp_dir().join(format!("rrf_sched_e2e_{}.journal", std::process::id()));
     let _ = std::fs::remove_file(&journal);
 
-    let mut daemon = spawn_daemon(&journal);
+    let mut daemon = spawn_journaled(&journal);
     let mut client = Client::connect(daemon.addr);
     let session = open(&mut client, 1, 12, 8);
 
@@ -377,7 +304,7 @@ fn sigkill_then_restart_replays_bit_identical_schedule() {
 
     // Life 2: the replayed schedule must be bit-identical, and the
     // scheduler must still accept work.
-    let mut daemon = spawn_daemon(&journal);
+    let mut daemon = spawn_journaled(&journal);
     let mut client = Client::connect(daemon.addr);
     assert_eq!(schedule_digest(&mut client, 30, session), before);
     match client.roundtrip(&Request::Stats { id: 31 }) {
@@ -407,7 +334,7 @@ fn sigkill_then_restart_replays_bit_identical_schedule() {
     assert!(status.success());
     wait_for_exit(&mut daemon.child);
 
-    let mut daemon = spawn_daemon(&journal);
+    let mut daemon = spawn_journaled(&journal);
     let mut client = Client::connect(daemon.addr);
     assert_eq!(schedule_digest(&mut client, 40, session), after_submit);
     daemon.child.kill().expect("kill");

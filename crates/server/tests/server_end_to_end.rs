@@ -2,8 +2,6 @@
 //! over a real TCP socket, and verify every returned floorplan
 //! independently with `rrf_core::verify`.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use rrf_fabric::ResourceKind;
@@ -13,45 +11,8 @@ use rrf_flow::{
 use rrf_geost::{ShapeDef, ShiftedBox};
 use rrf_server::{start, PlaceMethod, Request, Response, ServerConfig};
 
-/// A blocking NDJSON client over one TCP connection.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, request: &Request) {
-        let mut line = serde_json::to_string(request).unwrap();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
-    }
-
-    fn send_raw(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).unwrap();
-    }
-
-    fn recv(&mut self) -> Response {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        serde_json::from_str(line.trim()).expect("parse response")
-    }
-
-    fn roundtrip(&mut self, request: &Request) -> Response {
-        self.send(request);
-        self.recv()
-    }
-}
+mod common;
+use common::Client;
 
 fn clb_shape(w: i32, h: i32) -> ShapeDef {
     ShapeDef::new(vec![ShiftedBox::new(0, 0, w, h, ResourceKind::Clb)])

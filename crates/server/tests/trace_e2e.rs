@@ -3,42 +3,13 @@
 //! describe what actually happened — which degradation-ladder rung ran,
 //! and phase timings that tile the end-to-end total.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::time::Duration;
-
 use rrf_fabric::ResourceKind;
 use rrf_flow::{DeviceSpec, FlowSpec, ModuleEntry, PlacerSettings, RegionSpec};
 use rrf_geost::{ShapeDef, ShiftedBox};
 use rrf_server::{start, DetailStats, PlaceMethod, Request, Response, ServerConfig};
 
-/// A blocking NDJSON client over one TCP connection.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn roundtrip(&mut self, request: &Request) -> Response {
-        let mut line = serde_json::to_string(request).unwrap();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read response");
-        serde_json::from_str(reply.trim()).expect("parse response")
-    }
-}
+mod common;
+use common::Client;
 
 fn clb_shape(w: i32, h: i32) -> ShapeDef {
     ShapeDef::new(vec![ShiftedBox::new(0, 0, w, h, ResourceKind::Clb)])

@@ -37,11 +37,6 @@ impl Table {
             rows_scanned: AtomicU64::new(0),
         }
     }
-
-    /// Number of allowed rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 impl Propagator for Table {

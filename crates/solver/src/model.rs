@@ -25,12 +25,6 @@ impl Model {
         self.space.new_var(Domain::interval(lo, hi))
     }
 
-    /// New variable with an explicit (non-empty) value set.
-    pub fn new_var_values(&mut self, values: &[i32]) -> VarId {
-        self.space
-            .new_var(Domain::from_values(values).expect("variable created with empty domain"))
-    }
-
     /// Number of variables so far.
     pub fn num_vars(&self) -> usize {
         self.space.num_vars()
@@ -110,7 +104,7 @@ mod tests {
     fn build_and_count() {
         let mut m = Model::new();
         let x = m.new_var(0, 9);
-        let y = m.new_var_values(&[1, 4, 7]);
+        let y = m.new_var(1, 7);
         let z = m.new_var(0, 20);
         m.linear(&[1, -1], &[x, y], LinRel::Le, 0);
         m.maximum(vec![x, y], z);
@@ -118,12 +112,5 @@ mod tests {
         assert_eq!(m.num_propagators(), 2);
         assert_eq!(m.space().min(y), 1);
         assert_eq!(m.space().max(z), 20);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_value_set_panics() {
-        let mut m = Model::new();
-        let _ = m.new_var_values(&[]);
     }
 }

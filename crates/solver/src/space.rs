@@ -161,12 +161,6 @@ impl Space {
         self.apply(v, res)
     }
 
-    /// Prune: `v ∉ dom`.
-    pub fn subtract(&mut self, v: VarId, dom: &Domain) -> PruneResult {
-        let res = self.domains[v.index()].subtract(dom);
-        self.apply(v, res)
-    }
-
     /// Drain the change log: `(variable, strongest event)` pairs in first-
     /// touch order. Clears the log.
     pub fn drain_touched(&mut self, out: &mut Vec<(VarId, DomainEvent)>) {
@@ -281,13 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn intersect_subtract_through_space() {
+    fn intersect_through_space() {
         let (mut s, a, _) = two_var_space();
         s.intersect(a, &Domain::from_values(&[1, 3, 5, 11]).unwrap())
             .unwrap();
         assert_eq!(s.domain(a).iter().collect::<Vec<_>>(), vec![1, 3, 5]);
-        s.subtract(a, &Domain::singleton(3)).unwrap();
-        assert_eq!(s.domain(a).iter().collect::<Vec<_>>(), vec![1, 5]);
-        assert!(s.subtract(a, &Domain::interval(0, 10)).is_err());
+        assert!(s.intersect(a, &Domain::interval(6, 10)).is_err());
     }
 }

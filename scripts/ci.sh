@@ -242,6 +242,12 @@ run_ablations() {
 }
 
 stage_ablations() {
+    # The closed-loop service mix has no floor, only a protocol check:
+    # serve_load exits 1 on any error or mismatched response id, and a
+    # protocol error is not flaky, so it gets no retry.
+    echo "--> serve_load smoke (closed-loop mix, zero protocol errors)"
+    target/release/serve_load 2 6 0
+
     # The load binaries measure and refresh the committed artifacts; the
     # unified bench_gate then enforces every floor in one place. A
     # regression in any ablation fails CI at the gate, not inside the
